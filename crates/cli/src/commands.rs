@@ -830,15 +830,20 @@ fn default_ftree() -> FtreeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Writes a fresh corpus to a path no other test shares: tests run on
+    /// parallel threads and each deletes its own input when done.
     fn temp_log() -> std::path::PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join("mithrilog-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("log-{}.txt", std::process::id()));
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("log-{}-{n}.txt", std::process::id()));
         let ds = generate(&DatasetSpec {
             profile: DatasetProfile::Liberty2,
             target_bytes: 150_000,

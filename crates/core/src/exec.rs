@@ -1,43 +1,48 @@
 //! Parallel multi-pipeline execution engine (paper §5, Figure 7).
 //!
 //! The prototype instantiates N token-filter pipelines, each fed by its own
-//! flash channel, and saturates the device's internal bandwidth by keeping
-//! all N busy. This module is the software realization of that dataflow: a
-//! fixed-size pool of scoped worker threads, one per modeled channel
-//! (`SystemConfig::query_threads`), over which the query page plan is
-//! striped round-robin — page *i* of the plan rides channel `i mod N`,
+//! flash channel, and every query is one more consumer of that page stream.
+//! This module is the software realization of that dataflow, as a single
+//! scan kernel, [`scan_pages_fanout`]: it runs every query, and a solo query
+//! is simply a wave of one. The kernel reads and decompresses each distinct
+//! page of the wave's union plan once and fans the text out to every query
+//! that planned it. Union pages are striped round-robin over a fixed-size
+//! pool of scoped worker threads, one per modeled channel
+//! (`SystemConfig::query_threads`) — union page *i* rides channel `i mod N`,
 //! exactly how pages interleave across flash channels on the device.
 //!
 //! Each worker owns a complete pipeline replica: a private
 //! [`SsdReader`] (shared-access reads with a thread-local cost ledger), a
-//! thread-local LZAH codec, and the compiled filter (shared immutably —
+//! thread-local LZAH codec, and the compiled filters (shared immutably —
 //! filtering is `&self`). Workers never exchange state mid-scan.
 //!
-//! **Determinism invariant:** the merged result is byte-identical to a
-//! sequential scan for every worker count. Three properties guarantee it:
+//! **Determinism invariant:** each query's result is byte-identical to a
+//! sequential scan of its plan alone, for every worker count and whatever
+//! else rides in the wave. Three properties guarantee it:
 //!
 //! 1. page outcomes (matched line ranges, skip decisions, retry counts) are
 //!    pure per-page functions — no cross-page state exists in the scan;
-//! 2. results merge in plan order (by slot), so matched lines and
-//!    `skipped_pages` keep exactly the sequential order;
+//! 2. each query's results merge in its own plan order, so matched lines
+//!    and `skipped_pages` keep exactly the sequential order;
 //! 3. ledger counters are additive, so per-worker ledgers merged in any
 //!    order sum to the sequential totals.
 //!
-//! **Zero-allocation steady state:** each worker owns a [`ScanScratch`] —
-//! the LZAH decoder workspace, a reusable [`HashFilter`], and the matched
-//! range vector — reused across the page loop. After warm-up, a page with
-//! no matches is scanned without a single heap allocation; a page with k
-//! matches allocates exactly the k output `String`s. The per-page `Vec`s
-//! the old path allocated (decoder table, decompressed text, kept-line
-//! vectors) are gone.
+//! **Zero-allocation steady state:** the union plan is a sorted page list
+//! plus a flat table of the queries that planned each page, and every
+//! (page, query) outcome has a preallocated [`Visit`] — all built once per
+//! wave. Each [`Worker`] reuses its LZAH decoder workspace, one
+//! [`HashFilter`] per hardware-engine query, and the matched-range vector
+//! across the page loop. After warm-up, a page with no matches is scanned
+//! without a single heap allocation; a page with k matches allocates only
+//! its k output `String`s and the vector holding them.
 //!
-//! **Page cache:** when the system configures a [`PageCache`], both scan
-//! entry points consult it before touching the device. A hit charges the
-//! consumer's as-if-solo ledger exactly what a fresh read would have
-//! (pages_read + bytes_read of the stored page) and records the physical
-//! saving as `cache_hits`/`cache_bytes_saved` on the device-bound ledger —
-//! so outcomes and modeled times are byte-identical with and without the
-//! cache, like `shared_reads`.
+//! **Page cache:** when the system configures a [`PageCache`], the kernel
+//! consults it before touching the device. A hit charges each consumer's
+//! as-if-solo ledger exactly what a fresh read would have (pages_read +
+//! bytes_read of the stored page) and records the physical saving as
+//! `cache_hits`/`cache_bytes_saved` on the device ledger — so outcomes and
+//! modeled times are byte-identical with and without the cache, like
+//! `shared_reads`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -51,6 +56,7 @@ use mithrilog_storage::{CostLedger, PageId, PageStore, SimSsd, SsdReader, Storag
 
 use crate::cache::PageCache;
 use crate::control::CancelToken;
+use crate::outcome::ScanAttribution;
 
 /// Whether a storage error is survivable by skipping the affected page:
 /// corruption, exhausted transient retries, and quarantined pages lose one
@@ -87,7 +93,7 @@ pub(crate) enum Engine<'q> {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum GenMap<'c> {
     /// Every page shares one generation. Production scans always carry the
-    /// per-page map; the uniform form keeps the scan kernels testable
+    /// per-page map; the uniform form keeps the scan kernel testable
     /// without a system.
     #[cfg(test)]
     Uniform(u64),
@@ -124,329 +130,11 @@ fn cache_store(cache: CacheView<'_>, page: u64, text: &[u8], raw_len: u64) {
     }
 }
 
-/// Outcome of scanning one page.
-enum Scanned {
-    /// The page decompressed and was filtered.
-    Page(PageScan),
-    /// The page was skipped (corrupt, unreadable, or undecompressible).
-    Skipped(u64),
-}
-
-/// One filtered page: its matched lines (materialized inside the scan, so
-/// page text never outlives the page loop) plus per-page stats.
-struct PageScan {
-    /// Matching lines of this page, in line order.
-    lines: Vec<String>,
-    /// Decompressed length of the page.
-    bytes: u64,
-    lines_scanned: u64,
-}
-
-/// Per-worker reusable scan state: the decoder workspace, the hash-filter
-/// evaluation state (hardware engines only), and the matched-range vector.
-/// One of these per worker turns the page loop allocation-free.
-struct ScanScratch<'q> {
-    lzah: LzahScratch,
-    filter: Option<HashFilter<'q>>,
-    ranges: Vec<Range<usize>>,
-}
-
-impl<'q> ScanScratch<'q> {
-    fn for_engine(engine: &Engine<'q>) -> Self {
-        ScanScratch {
-            lzah: LzahScratch::new(),
-            filter: match engine {
-                Engine::Hardware(pipeline) => Some(HashFilter::new(pipeline.compiled())),
-                Engine::Software(_) => None,
-            },
-            ranges: Vec::new(),
-        }
-    }
-}
-
-/// Per-worker tally of page-cache hits, folded into the as-if-solo and
-/// physical ledgers once the worker joins.
-#[derive(Debug, Clone, Copy, Default)]
-struct HitTally {
-    pages: u64,
-    bytes: u64,
-}
-
-impl HitTally {
-    /// The as-if-solo charge for the hits: exactly what fresh reads of the
-    /// same pages would have recorded.
-    fn solo_charge(&self, base: CostLedger) -> CostLedger {
-        CostLedger {
-            pages_read: base.pages_read + self.pages,
-            bytes_read: base.bytes_read + self.bytes,
-            ..base
-        }
-    }
-
-    /// The physical record of the hits: device work avoided.
-    fn physical_charge(&self, base: CostLedger) -> CostLedger {
-        CostLedger {
-            cache_hits: base.cache_hits + self.pages,
-            cache_bytes_saved: base.cache_bytes_saved + self.bytes,
-            ..base
-        }
-    }
-}
-
-/// Merged result of a (possibly parallel) page scan.
-pub(crate) struct ScanResult {
-    /// Matching lines in plan order.
-    pub lines: Vec<String>,
-    /// Source page id of each matching line, parallel to `lines`. The
-    /// attribution lets a multi-device merge reconstruct global storage
-    /// order without re-scanning.
-    pub line_pages: Vec<u64>,
-    /// Skipped page ids, in plan order.
-    pub skipped_pages: Vec<u64>,
-    /// Lines examined across all scanned pages.
-    pub lines_scanned: u64,
-    /// Decompressed bytes pushed through the filter.
-    pub bytes_filtered: u64,
-    /// Pages that decompressed and were filtered (excludes skips).
-    pub pages_filtered: u64,
-    /// As-if-solo charges: cache hits are charged as the full page reads
-    /// they replaced, so this ledger is byte-identical to an uncached run.
-    pub ledger: CostLedger,
-    /// Physical device charges plus `cache_hits`/`cache_bytes_saved`; fold
-    /// into the device with [`SimSsd::merge_ledger`]. Equal to `ledger`
-    /// when no cache is in play.
-    pub physical: CostLedger,
-    /// First non-survivable storage error, by plan position. The ledger
-    /// above still accounts every read issued before workers stopped.
-    pub error: Option<StorageError>,
-}
-
-/// Scans `pages` through `engine`, striped across `threads` workers.
-///
-/// `threads == 1` runs the identical per-page code inline (no threads
-/// spawned); any `threads >= 1` produces byte-identical results — see the
-/// module docs for the determinism argument.
-///
-/// `cancel` is checked at every page boundary: once the token trips, each
-/// worker stops before its next page, so the scan quiesces within one page
-/// per worker. Pages scanned before the trip are charged exactly as usual;
-/// unvisited pages charge nothing and produce nothing.
-pub(crate) fn scan_pages<S: PageStore>(
-    ssd: &SimSsd<S>,
-    lzah: LzahConfig,
-    engine: &Engine<'_>,
-    pages: &[PageId],
-    threads: usize,
-    cache: CacheView<'_>,
-    cancel: Option<&CancelToken>,
-) -> ScanResult {
-    let workers = threads.max(1).min(pages.len().max(1));
-    let mut slots: Vec<Option<Scanned>> = Vec::with_capacity(pages.len());
-    slots.resize_with(pages.len(), || None);
-    let mut ledger = CostLedger::default();
-    let mut physical = CostLedger::default();
-    // (plan position, error) pairs; the earliest plan position wins so the
-    // propagated error does not depend on worker interleaving.
-    let mut errors: Vec<(usize, StorageError)> = Vec::new();
-
-    if workers <= 1 {
-        let mut reader = ssd.reader();
-        let codec = Lzah::new(lzah);
-        let mut scratch = ScanScratch::for_engine(engine);
-        let mut hits = HitTally::default();
-        for (slot, page) in pages.iter().enumerate() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            match scan_one(
-                &mut reader,
-                &codec,
-                engine,
-                *page,
-                cache,
-                &mut scratch,
-                &mut hits,
-            ) {
-                Ok(scanned) => slots[slot] = Some(scanned),
-                Err(e) => {
-                    errors.push((slot, e));
-                    break;
-                }
-            }
-        }
-        let reads = reader.into_ledger();
-        ledger.merge(&hits.solo_charge(reads));
-        physical.merge(&hits.physical_charge(reads));
-    } else {
-        let outputs: Vec<WorkerOutput> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = WorkerOutput::default();
-                        let mut reader = ssd.reader();
-                        let codec = Lzah::new(lzah);
-                        let mut scratch = ScanScratch::for_engine(engine);
-                        let mut hits = HitTally::default();
-                        for slot in (w..pages.len()).step_by(workers) {
-                            if cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            match scan_one(
-                                &mut reader,
-                                &codec,
-                                engine,
-                                pages[slot],
-                                cache,
-                                &mut scratch,
-                                &mut hits,
-                            ) {
-                                Ok(scanned) => out.scans.push((slot, scanned)),
-                                Err(e) => {
-                                    out.error = Some((slot, e));
-                                    break;
-                                }
-                            }
-                        }
-                        let reads = reader.into_ledger();
-                        out.ledger = hits.solo_charge(reads);
-                        out.physical = hits.physical_charge(reads);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        for out in outputs {
-            ledger.merge(&out.ledger);
-            physical.merge(&out.physical);
-            for (slot, scanned) in out.scans {
-                slots[slot] = Some(scanned);
-            }
-            if let Some(err) = out.error {
-                errors.push(err);
-            }
-        }
-    }
-    errors.sort_by_key(|(slot, _)| *slot);
-    let error = errors.into_iter().next().map(|(_, e)| e);
-
-    // Order-preserving merge: matched lines were materialized inside the
-    // page loop, so the merge only moves them into plan order.
-    let mut result = ScanResult {
-        lines: Vec::new(),
-        line_pages: Vec::new(),
-        skipped_pages: Vec::new(),
-        lines_scanned: 0,
-        bytes_filtered: 0,
-        pages_filtered: 0,
-        ledger,
-        physical,
-        error,
-    };
-    for (slot, scanned) in slots.into_iter().enumerate() {
-        let Some(scanned) = scanned else { continue };
-        match scanned {
-            Scanned::Page(p) => {
-                result.lines_scanned += p.lines_scanned;
-                result.bytes_filtered += p.bytes;
-                result.pages_filtered += 1;
-                let total = result.line_pages.len() + p.lines.len();
-                result.line_pages.resize(total, pages[slot].0);
-                result.lines.extend(p.lines);
-            }
-            Scanned::Skipped(page) => result.skipped_pages.push(page),
-        }
-    }
-    result
-}
-
-#[derive(Default)]
-struct WorkerOutput {
-    scans: Vec<(usize, Scanned)>,
-    ledger: CostLedger,
-    physical: CostLedger,
-    error: Option<(usize, StorageError)>,
-}
-
-/// One worker step: (cache lookup →) read → decompress → filter a single
-/// page. Pure in the page id given the device contents — the cache serves
-/// only text a fresh read of the same generation would produce — so
-/// striping cannot change results.
-#[allow(clippy::too_many_arguments)]
-fn scan_one<'q, S: PageStore>(
-    reader: &mut SsdReader<'_, S>,
-    codec: &Lzah,
-    engine: &Engine<'q>,
-    page: PageId,
-    cache: CacheView<'_>,
-    scratch: &mut ScanScratch<'q>,
-    hits: &mut HitTally,
-) -> Result<Scanned, StorageError> {
-    let ScanScratch {
-        lzah,
-        filter,
-        ranges,
-    } = scratch;
-    // Quarantine is checked before the cache: a scrub may quarantine a page
-    // after its text was cached, and the skip decision must match what an
-    // uncached read would produce (an up-front `Quarantined` error with
-    // zero ledger charges) so cached and uncached runs stay byte-identical.
-    if reader.is_quarantined(page) {
-        return Ok(Scanned::Skipped(page.0));
-    }
-    if let Some(cached) = cache_lookup(cache, page.0) {
-        hits.pages += 1;
-        hits.bytes += cached.raw_len;
-        return Ok(Scanned::Page(filter_to_scan(
-            engine,
-            &cached.text,
-            filter,
-            ranges,
-        )));
-    }
-    let raw = match reader.read(page) {
-        Ok(raw) => raw,
-        Err(e) if page_is_skippable(&e) => return Ok(Scanned::Skipped(page.0)),
-        Err(e) => return Err(e),
-    };
-    // Corruption the checksum missed (or pages written before the sidecar
-    // existed) still gets caught by the decoder's internal consistency
-    // checks; one bad page is not worth the query.
-    let text = match codec.decompress_into(&raw, lzah) {
-        Ok(text) => text,
-        Err(_) => return Ok(Scanned::Skipped(page.0)),
-    };
-    cache_store(cache, page.0, text, raw.len() as u64);
-    Ok(Scanned::Page(filter_to_scan(engine, text, filter, ranges)))
-}
-
-/// Filters one page's decompressed text and materializes the matched lines.
-/// Pure in `text`, so the same page fanned out to N queries (or served from
-/// the cache) produces exactly what N solo scans would have.
-fn filter_to_scan<'q>(
-    engine: &Engine<'q>,
-    text: &[u8],
-    filter: &mut Option<HashFilter<'q>>,
-    ranges: &mut Vec<Range<usize>>,
-) -> PageScan {
-    let lines_scanned = filter_page_into(engine, text, filter, ranges);
-    let mut lines = Vec::with_capacity(ranges.len());
-    for range in ranges.iter() {
-        lines.push(String::from_utf8_lossy(&text[range.clone()]).into_owned());
-    }
-    PageScan {
-        lines,
-        bytes: text.len() as u64,
-        lines_scanned,
-    }
-}
-
 /// The filter half of a page scan: run `engine` over decompressed `text`,
 /// filling `ranges` with the matched line ranges (cleared first) and
-/// returning the number of lines examined.
+/// returning the number of lines examined. Pure in `text`, so the same page
+/// fanned out to N queries (or served from the cache) produces exactly what
+/// N solo scans would have.
 fn filter_page_into<'q>(
     engine: &Engine<'q>,
     text: &[u8],
@@ -490,12 +178,14 @@ fn filter_page_into<'q>(
     }
 }
 
-/// Per-query result of a cross-query shared scan ([`scan_pages_fanout`]).
+/// Per-query result of a scan ([`scan_pages_fanout`]).
+#[derive(Default)]
 pub(crate) struct FanoutQueryScan {
     /// Matching lines in this query's plan order, materialized once.
     pub lines: Vec<String>,
-    /// Source page id of each matching line, parallel to `lines` (see
-    /// [`ScanResult::line_pages`]).
+    /// Source page id of each matching line, parallel to `lines`. The
+    /// attribution lets a multi-device merge reconstruct global storage
+    /// order without re-scanning.
     pub line_pages: Vec<u64>,
     /// Skipped page ids, in this query's plan order.
     pub skipped_pages: Vec<u64>,
@@ -505,73 +195,161 @@ pub(crate) struct FanoutQueryScan {
     pub bytes_filtered: u64,
     /// Pages that decompressed and were filtered for this query.
     pub pages_filtered: u64,
-    /// As-if-solo charges: every page this query planned is charged in
+    /// As-if-solo charges: every page this query reached is charged in
     /// full, exactly as a solo scan would have, even when the physical read
-    /// was shared. Shared-read savings live on the device ledger instead.
+    /// was shared or served from the cache. Those savings live on the
+    /// device ledger instead.
     pub ledger: CostLedger,
+    /// How this query's plan overlapped the rest of the wave: planned,
+    /// exclusive and shared pages, and the even-split attributed page cost
+    /// (the pruning counts are the planner's to fill in).
+    pub share: ScanAttribution,
 }
 
-/// Merged result of a cross-query shared scan.
+/// Merged result of a scan.
 pub(crate) struct FanoutResult {
-    /// One scan result per input query, in input order.
+    /// One scan result per input query, in input order. Partial, and to be
+    /// discarded, when `error` is set.
     pub queries: Vec<FanoutQueryScan>,
+    /// Distinct pages in the union of the plans.
+    pub union_pages: u64,
     /// Physical device charges: each union page read once, plus
-    /// `shared_reads` counting every duplicate read the fan-out avoided.
-    /// Fold into the device with [`SimSsd::merge_ledger`].
+    /// `shared_reads` counting every duplicate read the fan-out avoided and
+    /// `cache_hits` every read the page cache served. Fold into the device
+    /// with [`SimSsd::merge_ledger`].
     pub device_ledger: CostLedger,
-    /// First non-survivable storage error, by union plan position.
+    /// First non-survivable storage error, by union plan position. The
+    /// device ledger above still accounts every read issued before workers
+    /// stopped.
     pub error: Option<StorageError>,
 }
 
-/// One query's contribution to a fan-out scan: its filtering engine, its
-/// page plan, and an optional cancellation token. A query whose token trips
+/// One query's contribution to a scan: its filtering engine, its page
+/// plan, and an optional cancellation token. A query whose token trips
 /// mid-wave drops out of every subsequent union slot — it is neither
 /// filtered nor charged for pages it never reached, and a slot every
 /// planner has abandoned is not read at all.
 pub(crate) struct FanQuery<'q> {
     /// The filtering engine this query scans with.
     pub engine: Engine<'q>,
-    /// The query's page plan, in plan order.
-    pub pages: Vec<PageId>,
+    /// The query's page plan, in plan order, without duplicates.
+    pub pages: &'q [PageId],
     /// Cooperative cancellation, checked at each union-slot boundary.
     pub cancel: Option<CancelToken>,
 }
 
-impl<'q> FanQuery<'q> {
+impl FanQuery<'_> {
     fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
 
-/// Outcome of loading one union page in a fan-out scan.
-enum FanBody {
-    /// The page decompressed; `per_query` holds, for each query index live
-    /// at scan time, the matched lines (materialized inside the page loop,
-    /// so page text never outlives it) and the lines examined.
-    Scanned {
-        bytes: u64,
-        per_query: Vec<(usize, Vec<String>, u64)>,
-    },
-    /// The page is survivably lost for every live query that planned it
-    /// (`interested` holds those query indexes).
-    Skipped { interested: Vec<usize> },
-    /// Every query that planned this page was cancelled before its slot
-    /// came up: no read was issued and nothing is charged to anyone.
-    Abandoned,
+/// The union of a wave's plans: every distinct planned page once, ascending
+/// by page id, with the queries that planned it laid out flat — row `s`
+/// lists the query indexes of `pages[s]`, ascending, in
+/// `members[offsets[s]..offsets[s + 1]]`. Built with a fixed number of
+/// allocations per wave, whatever the page count.
+struct UnionPlan {
+    pages: Vec<PageId>,
+    offsets: Vec<usize>,
+    members: Vec<usize>,
+    /// The union slot of every plan position, flattened in query order.
+    slot_of: Vec<usize>,
 }
 
-/// Per-worker reusable fan-out scan state: one decoder workspace and
-/// matched-range vector (pages process serially within a worker), plus one
-/// [`HashFilter`] per hardware-engine query.
-struct FanScratch<'q> {
+impl UnionPlan {
+    fn build(queries: &[FanQuery<'_>]) -> Self {
+        let mut pages: Vec<PageId> = queries.iter().flat_map(|fq| fq.pages).copied().collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let slot_of: Vec<usize> = queries
+            .iter()
+            .flat_map(|fq| fq.pages)
+            .map(|p| {
+                pages
+                    .binary_search(p)
+                    .expect("a planned page is in the union")
+            })
+            .collect();
+        let mut offsets = vec![0usize; pages.len() + 1];
+        for &slot in &slot_of {
+            offsets[slot + 1] += 1;
+        }
+        for s in 0..pages.len() {
+            offsets[s + 1] += offsets[s];
+        }
+        // Filling in query order keeps every row ascending.
+        let mut next = offsets.clone();
+        let mut members = vec![0usize; slot_of.len()];
+        let owners = queries
+            .iter()
+            .enumerate()
+            .flat_map(|(q, fq)| std::iter::repeat_n(q, fq.pages.len()));
+        for (&slot, q) in slot_of.iter().zip(owners) {
+            members[next[slot]] = q;
+            next[slot] += 1;
+        }
+        UnionPlan {
+            pages,
+            offsets,
+            members,
+            slot_of,
+        }
+    }
+
+    fn row(&self, slot: usize) -> Range<usize> {
+        self.offsets[slot]..self.offsets[slot + 1]
+    }
+}
+
+/// What became of one query at one union page.
+#[derive(Default, Clone, Copy, PartialEq, Eq)]
+enum VisitState {
+    /// Never reached: the query was cancelled before the page's slot came
+    /// up, or a hard error stopped the worker first. Nothing is charged.
+    #[default]
+    Unreached,
+    /// The page was survivably lost (quarantined, corrupt, unreadable).
+    Skipped,
+    /// The page decompressed and this query's filter ran over it.
+    Scanned,
+}
+
+/// One query's share of one union page, written by the worker that owns
+/// the page and moved out in that query's plan order at assembly.
+#[derive(Default)]
+struct Visit {
+    state: VisitState,
+    /// The exact device cost of loading the page (read, retries, bytes):
+    /// the charge a solo scan of this page would have paid.
+    cost: CostLedger,
+    /// Decompressed length of the page.
+    bytes: u64,
+    lines_scanned: u64,
+    /// Matching lines of this page, in line order, materialized inside the
+    /// page loop so page text never outlives it.
+    lines: Vec<String>,
+}
+
+/// One worker's pipeline replica: a private device reader and codec, and
+/// the reusable scratch that keeps its page loop allocation-free.
+struct Worker<'a, 'q, S: PageStore> {
+    reader: SsdReader<'a, S>,
+    codec: Lzah,
     lzah: LzahScratch,
+    /// One hash filter per hardware-engine query, by query index.
     filters: Vec<Option<HashFilter<'q>>>,
     ranges: Vec<Range<usize>>,
+    /// Physical savings (`shared_reads`, `cache_hits`,
+    /// `cache_bytes_saved`), folded into the device ledger at join.
+    saved: CostLedger,
 }
 
-impl<'q> FanScratch<'q> {
-    fn for_queries(queries: &[FanQuery<'q>]) -> Self {
-        FanScratch {
+impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
+    fn new(ssd: &'a SimSsd<S>, lzah: LzahConfig, queries: &[FanQuery<'q>]) -> Self {
+        Worker {
+            reader: ssd.reader(),
+            codec: Lzah::new(lzah),
             lzah: LzahScratch::new(),
             filters: queries
                 .iter()
@@ -581,54 +359,116 @@ impl<'q> FanScratch<'q> {
                 })
                 .collect(),
             ranges: Vec::new(),
+            saved: CostLedger::default(),
         }
     }
-}
 
-/// Fans one decompressed page out to every interested query: filter, then
-/// materialize the matched lines. Pure in `text`, so each query's share is
-/// exactly what its solo scan of the page would have produced.
-fn fan_filter<'q>(
-    queries: &[FanQuery<'q>],
-    interested: &[usize],
-    text: &[u8],
-    filters: &mut [Option<HashFilter<'q>>],
-    ranges: &mut Vec<Range<usize>>,
-) -> Vec<(usize, Vec<String>, u64)> {
-    let mut per_query = Vec::with_capacity(interested.len());
-    for &q in interested {
-        let lines_scanned = filter_page_into(&queries[q].engine, text, &mut filters[q], ranges);
-        let mut lines = Vec::with_capacity(ranges.len());
-        for range in ranges.iter() {
-            lines.push(String::from_utf8_lossy(&text[range.clone()]).into_owned());
+    /// One union slot: (cache lookup →) read → decompress once, then filter
+    /// and materialize for every query in `members` still live, writing each
+    /// one's [`Visit`] into `row`. Pure in the page id given the device
+    /// contents — the cache serves only text a fresh read of the same
+    /// generation would produce — so striping cannot change results.
+    fn scan_slot(
+        &mut self,
+        queries: &[FanQuery<'q>],
+        cache: CacheView<'_>,
+        page: PageId,
+        members: &[usize],
+        row: &mut [Visit],
+    ) -> Result<(), StorageError> {
+        // Liveness is decided once per slot: a query cancelled by now drops
+        // out of it, and a slot every planner abandoned is not read at all.
+        // Live queries start `Skipped`, the verdict if the page is lost.
+        let mut live = 0u64;
+        for (visit, &q) in row.iter_mut().zip(members) {
+            if !queries[q].is_cancelled() {
+                visit.state = VisitState::Skipped;
+                live += 1;
+            }
         }
-        per_query.push((q, lines, lines_scanned));
+        if live == 0 {
+            return Ok(());
+        }
+        // Quarantine is checked before the cache so cached and uncached runs
+        // agree: an uncached read would fail up front with zero charges.
+        if !self.reader.is_quarantined(page) {
+            let before = *self.reader.ledger();
+            let cached = cache_lookup(cache, page.0);
+            let text = match &cached {
+                Some(hit) => {
+                    self.saved.cache_hits += 1;
+                    self.saved.cache_bytes_saved += hit.raw_len;
+                    Some(hit.text.as_slice())
+                }
+                None => match self.reader.read(page) {
+                    // Corruption the checksum missed still gets caught by
+                    // the decoder; one bad page is not worth the wave.
+                    Ok(raw) => match self.codec.decompress_into(&raw, &mut self.lzah) {
+                        Ok(text) => {
+                            cache_store(cache, page.0, text, raw.len() as u64);
+                            Some(text)
+                        }
+                        Err(_) => None,
+                    },
+                    Err(e) if page_is_skippable(&e) => None,
+                    Err(e) => return Err(e),
+                },
+            };
+            // A cache hit is charged as the full read it replaced.
+            let mut cost = self.reader.ledger().since(&before);
+            if let Some(hit) = &cached {
+                cost.pages_read += 1;
+                cost.bytes_read += hit.raw_len;
+            }
+            for (visit, &q) in row.iter_mut().zip(members) {
+                if visit.state == VisitState::Unreached {
+                    continue;
+                }
+                visit.cost = cost;
+                if let Some(text) = text {
+                    visit.lines_scanned = filter_page_into(
+                        &queries[q].engine,
+                        text,
+                        &mut self.filters[q],
+                        &mut self.ranges,
+                    );
+                    visit.lines = self
+                        .ranges
+                        .iter()
+                        .map(|r| String::from_utf8_lossy(&text[r.clone()]).into_owned())
+                        .collect();
+                    visit.bytes = text.len() as u64;
+                    visit.state = VisitState::Scanned;
+                }
+            }
+        }
+        // Every page fanned to k live queries saved k-1 physical reads.
+        self.saved.shared_reads += live - 1;
+        Ok(())
     }
-    per_query
-}
 
-/// One processed union slot: the page body plus the exact device cost of
-/// loading it (read, retries, bytes) — the charge a solo scan of this page
-/// would have paid.
-struct FanSlot {
-    cost: CostLedger,
-    body: FanBody,
+    /// The worker's physical ledger: device reads plus the savings.
+    fn into_ledger(self) -> CostLedger {
+        let mut ledger = self.reader.into_ledger();
+        ledger.merge(&self.saved);
+        ledger
+    }
 }
 
 /// Scans the union of the queries' page plans, reading and decompressing
 /// each distinct page once and fanning its text out to every query that
 /// planned it (the paper's single flash stream feeding multiple pattern
-/// matchers). Union pages are striped across the worker pool exactly like
-/// [`scan_pages`].
+/// matchers). Union pages are striped across `threads` workers; `threads
+/// == 1` runs the identical per-page code inline, without spawning.
 ///
 /// **Determinism:** each query's output is byte-identical to scanning its
-/// plan alone — page loading and filtering are the same pure per-page
-/// functions solo scans use, and per-query results merge in that query's
-/// plan order. Only the physical read count (the device ledger) changes
-/// with sharing or cache hits. A cancelled query stops within one union
-/// slot per worker and is charged only for pages it actually reached; live
-/// co-batched queries are unaffected, because a slot's cost and filter
-/// output never depend on how many queries fanned from it.
+/// plan alone — page loading and filtering are pure per-page functions, and
+/// per-query results merge in that query's plan order. Only the physical
+/// device ledger changes with sharing or cache hits. A cancelled query
+/// stops within one union slot per worker and is charged only for pages it
+/// actually reached; live co-batched queries are unaffected, because a
+/// slot's cost and filter output never depend on how many queries fanned
+/// from it.
 pub(crate) fn scan_pages_fanout<'q, S: PageStore>(
     ssd: &SimSsd<S>,
     lzah: LzahConfig,
@@ -636,226 +476,99 @@ pub(crate) fn scan_pages_fanout<'q, S: PageStore>(
     threads: usize,
     cache: CacheView<'_>,
 ) -> FanoutResult {
-    // Union of all plans, ascending by page id, with the interested query
-    // indexes per page (ascending, since we insert in query order).
-    let mut union: std::collections::BTreeMap<PageId, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (q, fq) in queries.iter().enumerate() {
-        for page in &fq.pages {
-            union.entry(*page).or_default().push(q);
-        }
-    }
-    let union: Vec<(PageId, Vec<usize>)> = union.into_iter().collect();
-    let slot_of: std::collections::HashMap<PageId, usize> = union
-        .iter()
-        .enumerate()
-        .map(|(i, (page, _))| (*page, i))
-        .collect();
+    let plan = UnionPlan::build(queries);
+    let union_len = plan.pages.len();
+    let mut visits: Vec<Visit> = Vec::new();
+    visits.resize_with(plan.members.len(), Visit::default);
 
-    let union_len = union.len();
+    // Hand worker `w` the rows of union slots w, w+N, … outright, so each
+    // writes its visits with no sharing and no per-page bookkeeping.
     let workers = threads.max(1).min(union_len.max(1));
-    let mut slots: Vec<Option<FanSlot>> = Vec::with_capacity(union_len);
-    slots.resize_with(union_len, || None);
-    let mut device_ledger = CostLedger::default();
-    let mut errors: Vec<(usize, StorageError)> = Vec::new();
-
-    let scan_slot = |reader: &mut SsdReader<'_, S>,
-                     codec: &Lzah,
-                     slot: usize,
-                     scratch: &mut FanScratch<'q>,
-                     hits: &mut HitTally|
-     -> Result<FanSlot, StorageError> {
-        let (page, interested) = &union[slot];
-        // Queries cancelled by the time their slot comes up drop out of it:
-        // they are neither filtered nor charged, and a slot every planner
-        // abandoned is not read at all.
-        let live: Vec<usize> = interested
-            .iter()
-            .copied()
-            .filter(|&q| !queries[q].is_cancelled())
-            .collect();
-        if live.is_empty() {
-            return Ok(FanSlot {
-                cost: CostLedger::default(),
-                body: FanBody::Abandoned,
-            });
-        }
-        let before = *reader.ledger();
-        let FanScratch {
-            lzah: lz,
-            filters,
-            ranges,
-        } = scratch;
-        // Quarantine is checked before the cache so cached and uncached
-        // runs agree: an uncached read would fail up front with zero
-        // charges, so the slot skips for every live query at zero cost.
-        if reader.is_quarantined(*page) {
-            return Ok(FanSlot {
-                cost: CostLedger::default(),
-                body: FanBody::Skipped { interested: live },
-            });
-        }
-        // An as-if-solo slot charge replayed on a cache hit: the full read
-        // a fresh load of this page would have recorded.
-        let mut hit_charge = None;
-        let body = if let Some(cached) = cache_lookup(cache, page.0) {
-            hits.pages += 1;
-            hits.bytes += cached.raw_len;
-            hit_charge = Some(cached.raw_len);
-            FanBody::Scanned {
-                bytes: cached.text.len() as u64,
-                per_query: fan_filter(queries, &live, &cached.text, filters, ranges),
+    let mut lanes: Vec<Vec<(usize, &mut [Visit])>> = (0..workers)
+        .map(|_| Vec::with_capacity(union_len.div_ceil(workers)))
+        .collect();
+    let mut rest: &mut [Visit] = &mut visits;
+    for slot in 0..union_len {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(plan.row(slot).len());
+        lanes[slot % workers].push((slot, row));
+        rest = tail;
+    }
+    let run_lane = |lane: Vec<(usize, &mut [Visit])>| {
+        let mut worker = Worker::new(ssd, lzah, queries);
+        let mut error = None;
+        for (slot, row) in lane {
+            let members = &plan.members[plan.row(slot)];
+            if let Err(e) = worker.scan_slot(queries, cache, plan.pages[slot], members, row) {
+                error = Some((slot, e));
+                break;
             }
-        } else {
-            match reader.read(*page) {
-                Ok(raw) => match codec.decompress_into(&raw, lz) {
-                    Ok(text) => {
-                        cache_store(cache, page.0, text, raw.len() as u64);
-                        FanBody::Scanned {
-                            bytes: text.len() as u64,
-                            per_query: fan_filter(queries, &live, text, filters, ranges),
-                        }
-                    }
-                    // Corruption the checksum missed still gets caught by
-                    // the decoder; one bad page is not worth the batch.
-                    Err(_) => FanBody::Skipped { interested: live },
-                },
-                Err(e) if page_is_skippable(&e) => FanBody::Skipped { interested: live },
-                Err(e) => return Err(e),
-            }
-        };
-        let mut cost = reader.ledger().since(&before);
-        if let Some(raw_len) = hit_charge {
-            cost.pages_read += 1;
-            cost.bytes_read += raw_len;
         }
-        Ok(FanSlot { cost, body })
+        (worker.into_ledger(), error)
     };
-
-    if workers <= 1 {
-        let mut reader = ssd.reader();
-        let codec = Lzah::new(lzah);
-        let mut scratch = FanScratch::for_queries(queries);
-        let mut hits = HitTally::default();
-        for (slot, out) in slots.iter_mut().enumerate() {
-            match scan_slot(&mut reader, &codec, slot, &mut scratch, &mut hits) {
-                Ok(done) => *out = Some(done),
-                Err(e) => {
-                    errors.push((slot, e));
-                    break;
-                }
-            }
-        }
-        device_ledger.merge(&hits.physical_charge(reader.into_ledger()));
+    let outputs: Vec<(CostLedger, Option<(usize, StorageError)>)> = if workers <= 1 {
+        lanes.into_iter().map(run_lane).collect()
     } else {
-        struct FanWorker {
-            scans: Vec<(usize, FanSlot)>,
-            ledger: CostLedger,
-            error: Option<(usize, StorageError)>,
-        }
-        let outputs: Vec<FanWorker> = thread::scope(|scope| {
-            let scan_slot = &scan_slot;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = FanWorker {
-                            scans: Vec::new(),
-                            ledger: CostLedger::default(),
-                            error: None,
-                        };
-                        let mut reader = ssd.reader();
-                        let codec = Lzah::new(lzah);
-                        let mut scratch = FanScratch::for_queries(queries);
-                        let mut hits = HitTally::default();
-                        for slot in (w..union_len).step_by(workers) {
-                            match scan_slot(&mut reader, &codec, slot, &mut scratch, &mut hits) {
-                                Ok(done) => out.scans.push((slot, done)),
-                                Err(e) => {
-                                    out.error = Some((slot, e));
-                                    break;
-                                }
-                            }
-                        }
-                        out.ledger = hits.physical_charge(reader.into_ledger());
-                        out
-                    })
-                })
+        thread::scope(|scope| {
+            let run_lane = &run_lane;
+            let handles: Vec<_> = lanes
+                .into_iter()
+                .map(|lane| scope.spawn(move || run_lane(lane)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("fan-out scan worker panicked"))
+                .map(|h| h.join().expect("scan worker panicked"))
                 .collect()
-        });
-        for out in outputs {
-            device_ledger.merge(&out.ledger);
-            for (slot, done) in out.scans {
-                slots[slot] = Some(done);
-            }
-            if let Some(err) = out.error {
-                errors.push(err);
+        })
+    };
+    let mut device_ledger = CostLedger::default();
+    let mut error: Option<(usize, StorageError)> = None;
+    for (ledger, err) in outputs {
+        device_ledger.merge(&ledger);
+        // The earliest union position wins, so the propagated error does
+        // not depend on worker interleaving.
+        if let Some(err) = err {
+            if error.as_ref().is_none_or(|(slot, _)| err.0 < *slot) {
+                error = Some(err);
             }
         }
     }
-    errors.sort_by_key(|(slot, _)| *slot);
-    let error = errors.into_iter().next().map(|(_, e)| e);
 
-    // Every processed page shared by k live queries saved k-1 physical
-    // reads; abandoned slots issued no read and saved nothing.
-    for done in slots.iter().flatten() {
-        let fanned = match &done.body {
-            FanBody::Scanned { per_query, .. } => per_query.len(),
-            FanBody::Skipped { interested } => interested.len(),
-            FanBody::Abandoned => 0,
-        };
-        device_ledger.shared_reads += (fanned as u64).saturating_sub(1);
-    }
-
-    // Per-query assembly, each in its own plan order. Lines were
-    // materialized inside the page loop, so assembly only moves them. A
-    // query absent from a slot's live set was cancelled before the slot
-    // ran: it never scanned the page, so it is not charged for it.
+    // Per-query assembly, each in its own plan order: lines were
+    // materialized inside the page loop, so assembly only moves them.
+    let mut positions = plan.slot_of.iter();
     let results = queries
         .iter()
         .enumerate()
         .map(|(q, fq)| {
-            let mut scan = FanoutQueryScan {
-                lines: Vec::new(),
-                line_pages: Vec::new(),
-                skipped_pages: Vec::new(),
-                lines_scanned: 0,
-                bytes_filtered: 0,
-                pages_filtered: 0,
-                ledger: CostLedger::default(),
-            };
-            for page in &fq.pages {
-                // A slot left empty means a worker stopped on a hard error;
-                // the whole batch fails via `error`, so nothing to merge.
-                let Some(done) = slots[slot_of[page]].as_mut() else {
-                    continue;
-                };
-                match &mut done.body {
-                    FanBody::Scanned { bytes, per_query } => {
-                        let Some((_, matched, lines)) =
-                            per_query.iter_mut().find(|(qi, _, _)| *qi == q)
-                        else {
-                            continue;
-                        };
-                        scan.ledger.merge(&done.cost);
-                        scan.lines_scanned += *lines;
-                        scan.bytes_filtered += *bytes;
-                        scan.pages_filtered += 1;
-                        let total = scan.line_pages.len() + matched.len();
-                        scan.line_pages.resize(total, page.0);
-                        scan.lines.extend(std::mem::take(matched));
-                    }
-                    FanBody::Skipped { interested } => {
-                        if interested.contains(&q) {
-                            scan.ledger.merge(&done.cost);
-                            scan.skipped_pages.push(page.0);
-                        }
-                    }
-                    FanBody::Abandoned => {}
+            let mut scan = FanoutQueryScan::default();
+            scan.share.planned_pages = fq.pages.len() as u64;
+            for (page, &slot) in fq.pages.iter().zip(positions.by_ref()) {
+                let row = plan.row(slot);
+                let sharers = row.len();
+                if sharers <= 1 {
+                    scan.share.exclusive_pages += 1;
+                    scan.share.attributed_page_cost += 1.0;
+                } else {
+                    scan.share.shared_pages += 1;
+                    scan.share.attributed_page_cost += 1.0 / sharers as f64;
                 }
+                let at = plan.members[row.clone()]
+                    .binary_search(&q)
+                    .expect("a query is a member of its own pages' rows");
+                let visit = &mut visits[row.start + at];
+                match visit.state {
+                    VisitState::Unreached => continue,
+                    VisitState::Skipped => scan.skipped_pages.push(page.0),
+                    VisitState::Scanned => {
+                        scan.lines_scanned += visit.lines_scanned;
+                        scan.bytes_filtered += visit.bytes;
+                        scan.pages_filtered += 1;
+                        let total = scan.line_pages.len() + visit.lines.len();
+                        scan.line_pages.resize(total, page.0);
+                        scan.lines.append(&mut visit.lines);
+                    }
+                }
+                scan.ledger.merge(&visit.cost);
             }
             scan
         })
@@ -863,8 +576,9 @@ pub(crate) fn scan_pages_fanout<'q, S: PageStore>(
 
     FanoutResult {
         queries: results,
+        union_pages: union_len as u64,
         device_ledger,
-        error,
+        error: error.map(|(_, e)| e),
     }
 }
 
@@ -963,6 +677,75 @@ mod tests {
         (ssd, pages)
     }
 
+    /// What a scan of one plan must produce, computed the naive way:
+    /// sequential device reads, whole-page decompression, and the query AST
+    /// evaluated line by line — none of the kernel's scratch, striping,
+    /// fan-out or cache machinery.
+    #[derive(Default)]
+    struct Reference {
+        lines: Vec<String>,
+        lines_scanned: u64,
+        bytes_filtered: u64,
+        skipped_pages: Vec<u64>,
+        ledger: CostLedger,
+    }
+
+    fn reference(ssd: &SimSsd<MemStore>, query: &Query, pages: &[PageId]) -> Reference {
+        let mut reader = ssd.reader();
+        let mut out = Reference::default();
+        for &page in pages {
+            let text = match reader.read(page) {
+                Ok(raw) => Lzah::default().decompress(&raw).ok(),
+                Err(e) => {
+                    assert!(page_is_skippable(&e), "{e}");
+                    None
+                }
+            };
+            let Some(text) = text else {
+                out.skipped_pages.push(page.0);
+                continue;
+            };
+            out.bytes_filtered += text.len() as u64;
+            for line in text.split(|b| *b == b'\n').filter(|l| !l.is_empty()) {
+                out.lines_scanned += 1;
+                let line = String::from_utf8_lossy(line);
+                if query.matches_line(&line) {
+                    out.lines.push(line.into_owned());
+                }
+            }
+        }
+        out.ledger = reader.into_ledger();
+        out
+    }
+
+    fn assert_matches(got: &FanoutQueryScan, want: &Reference, ctx: &str) {
+        assert_eq!(got.lines, want.lines, "{ctx}");
+        assert_eq!(got.lines_scanned, want.lines_scanned, "{ctx}");
+        assert_eq!(got.bytes_filtered, want.bytes_filtered, "{ctx}");
+        assert_eq!(got.skipped_pages, want.skipped_pages, "{ctx}");
+        assert_eq!(got.ledger, want.ledger, "{ctx}: as-if-solo ledger");
+    }
+
+    /// A wave of one through the kernel: the query's scan plus the device
+    /// ledger.
+    fn solo(
+        ssd: &SimSsd<MemStore>,
+        engine: Engine<'_>,
+        pages: &[PageId],
+        threads: usize,
+        cache: CacheView<'_>,
+        cancel: Option<CancelToken>,
+    ) -> (FanoutQueryScan, CostLedger) {
+        let query = FanQuery {
+            engine,
+            pages,
+            cancel,
+        };
+        let mut fan = scan_pages_fanout(ssd, LzahConfig::default(), &[query], threads, cache);
+        assert!(fan.error.is_none());
+        (fan.queries.remove(0), fan.device_ledger)
+    }
+
     #[test]
     fn parallel_scan_matches_sequential_exactly() {
         let texts: Vec<String> = (0..12)
@@ -972,26 +755,20 @@ mod tests {
         let (ssd, pages) = ssd_with_pages(&refs);
         let query = mithrilog_query::parse("event AND NOT beta").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
-        let seq = scan_pages(&ssd, LzahConfig::default(), &engine, &pages, 1, None, None);
-        for threads in [2, 3, 4, 8] {
-            let par = scan_pages(
+        let want = reference(&ssd, &query, &pages);
+        for threads in [1, 2, 3, 4, 8] {
+            let (got, _) = solo(
                 &ssd,
-                LzahConfig::default(),
-                &engine,
+                Engine::Hardware(&pipeline),
                 &pages,
                 threads,
                 None,
                 None,
             );
-            assert_eq!(par.lines, seq.lines, "{threads} threads");
-            assert_eq!(par.lines_scanned, seq.lines_scanned);
-            assert_eq!(par.bytes_filtered, seq.bytes_filtered);
-            assert_eq!(par.ledger, seq.ledger);
-            assert_eq!(par.skipped_pages, seq.skipped_pages);
+            assert_matches(&got, &want, &format!("{threads} threads"));
         }
-        assert_eq!(seq.lines.len(), 12);
-        assert!(seq.lines[0].contains("alpha event 0"));
+        assert_eq!(want.lines.len(), 12);
+        assert!(want.lines[0].contains("alpha event 0"));
     }
 
     #[test]
@@ -1006,12 +783,12 @@ mod tests {
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
         // Overlapping plans: query A wants pages [0..8), B wants [4..10).
-        let plan_a = pages[..8].to_vec();
-        let plan_b = pages[4..].to_vec();
+        let plan_a = &pages[..8];
+        let plan_b = &pages[4..];
         let lzah = LzahConfig::default();
 
-        let solo_a = scan_pages(&ssd, lzah, &Engine::Hardware(&pa), &plan_a, 3, None, None);
-        let solo_b = scan_pages(&ssd, lzah, &Engine::Hardware(&pb), &plan_b, 3, None, None);
+        let solo_a = reference(&ssd, &qa, plan_a);
+        let solo_b = reference(&ssd, &qb, plan_b);
         for threads in [1, 3, 8] {
             let fan = scan_pages_fanout(
                 &ssd,
@@ -1019,12 +796,12 @@ mod tests {
                 &[
                     FanQuery {
                         engine: Engine::Hardware(&pa),
-                        pages: plan_a.clone(),
+                        pages: plan_a,
                         cancel: None,
                     },
                     FanQuery {
                         engine: Engine::Hardware(&pb),
-                        pages: plan_b.clone(),
+                        pages: plan_b,
                         cancel: None,
                     },
                 ],
@@ -1033,21 +810,21 @@ mod tests {
             );
             assert!(fan.error.is_none());
             for (got, want) in fan.queries.iter().zip([&solo_a, &solo_b]) {
-                assert_eq!(got.lines, want.lines, "{threads} threads");
-                assert_eq!(got.lines_scanned, want.lines_scanned);
-                assert_eq!(got.bytes_filtered, want.bytes_filtered);
-                assert_eq!(got.skipped_pages, want.skipped_pages);
-                // As-if-solo charges match the solo ledger exactly.
-                assert_eq!(got.ledger, want.ledger);
+                assert_matches(got, want, &format!("{threads} threads"));
             }
             // Physically: 10 distinct pages read once; the 4 overlapping
             // pages each saved one duplicate read.
+            assert_eq!(fan.union_pages, 10);
             assert_eq!(fan.device_ledger.pages_read, 10);
             assert_eq!(fan.device_ledger.shared_reads, 4);
             assert_eq!(fan.device_ledger.demanded_reads(), 14);
             assert!(
                 fan.device_ledger.pages_read < solo_a.ledger.pages_read + solo_b.ledger.pages_read
             );
+            // Attribution: A owns 4 pages outright and halves 4 shared ones.
+            let share = &fan.queries[0].share;
+            assert_eq!((share.exclusive_pages, share.shared_pages), (4, 4));
+            assert_eq!(share.attributed_page_cost, 6.0);
         }
     }
 
@@ -1060,26 +837,11 @@ mod tests {
         let (ssd, pages) = ssd_with_pages(&refs);
         let query = mithrilog_query::parse("FATAL").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let hw = scan_pages(
-            &ssd,
-            LzahConfig::default(),
-            &Engine::Hardware(&pipeline),
-            &pages,
-            3,
-            None,
-            None,
-        );
-        let sw = scan_pages(
-            &ssd,
-            LzahConfig::default(),
-            &Engine::Software(&query),
-            &pages,
-            3,
-            None,
-            None,
-        );
-        assert_eq!(hw.lines, sw.lines);
-        assert_eq!(hw.lines_scanned, sw.lines_scanned);
+        let want = reference(&ssd, &query, &pages);
+        let (hw, _) = solo(&ssd, Engine::Hardware(&pipeline), &pages, 3, None, None);
+        let (sw, _) = solo(&ssd, Engine::Software(&query), &pages, 3, None, None);
+        assert_matches(&hw, &want, "hardware");
+        assert_matches(&sw, &want, "software");
     }
 
     #[test]
@@ -1099,26 +861,11 @@ mod tests {
         }
         let query = mithrilog_query::parse("FATAL").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let hw = scan_pages(
-            &ssd,
-            config,
-            &Engine::Hardware(&pipeline),
-            &pages,
-            1,
-            None,
-            None,
-        );
-        let sw = scan_pages(
-            &ssd,
-            config,
-            &Engine::Software(&query),
-            &pages,
-            1,
-            None,
-            None,
-        );
-        assert_eq!(hw.lines, sw.lines);
-        assert_eq!(hw.lines_scanned, sw.lines_scanned);
+        let want = reference(&ssd, &query, &pages);
+        let (hw, _) = solo(&ssd, Engine::Hardware(&pipeline), &pages, 1, None, None);
+        let (sw, _) = solo(&ssd, Engine::Software(&query), &pages, 1, None, None);
+        assert_matches(&hw, &want, "hardware");
+        assert_matches(&sw, &want, "software");
         assert_eq!(sw.lines.len(), 2);
         assert!(sw.lines[0].contains('\u{FFFD}'), "lossy replacement kept");
     }
@@ -1132,34 +879,30 @@ mod tests {
         let (ssd, pages) = ssd_with_pages(&refs);
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
-        let lzah = LzahConfig::default();
-        let cold = scan_pages(&ssd, lzah, &engine, &pages, 3, None, None);
+        let engine = || Engine::Hardware(&pipeline);
+        let cold = reference(&ssd, &query, &pages);
 
         let cache = PageCache::new(1 << 20);
         let view: CacheView<'_> = Some((&cache, GenMap::Uniform(7)));
-        let warm_up = scan_pages(&ssd, lzah, &engine, &pages, 3, view, None);
-        assert_eq!(warm_up.lines, cold.lines);
-        assert_eq!(warm_up.ledger, cold.ledger, "cold cache: identical run");
-        assert_eq!(warm_up.physical.cache_hits, 0);
+        let (warm_up, warm_up_device) = solo(&ssd, engine(), &pages, 3, view, None);
+        assert_matches(&warm_up, &cold, "cold cache: identical run");
+        assert_eq!(warm_up_device.cache_hits, 0);
 
-        let warm = scan_pages(&ssd, lzah, &engine, &pages, 3, view, None);
-        assert_eq!(warm.lines, cold.lines);
-        assert_eq!(warm.lines_scanned, cold.lines_scanned);
-        assert_eq!(warm.bytes_filtered, cold.bytes_filtered);
-        // As-if-solo ledger is byte-identical; the physical ledger shows
-        // every read served from the cache instead of the device.
-        assert_eq!(warm.ledger, cold.ledger);
-        assert_eq!(warm.physical.pages_read, 0);
-        assert_eq!(warm.physical.cache_hits, pages.len() as u64);
-        assert_eq!(warm.physical.cache_bytes_saved, cold.ledger.bytes_read);
-        assert_eq!(warm.physical.demanded_reads(), cold.ledger.pages_read);
+        let (warm, device) = solo(&ssd, engine(), &pages, 3, view, None);
+        // As-if-solo results and ledger are byte-identical; the physical
+        // ledger shows every read served from the cache instead of the
+        // device.
+        assert_matches(&warm, &cold, "warm cache");
+        assert_eq!(device.pages_read, 0);
+        assert_eq!(device.cache_hits, pages.len() as u64);
+        assert_eq!(device.cache_bytes_saved, cold.ledger.bytes_read);
+        assert_eq!(device.demanded_reads(), cold.ledger.pages_read);
 
         // A different generation never sees the cached text.
         let stale: CacheView<'_> = Some((&cache, GenMap::Uniform(8)));
-        let fresh = scan_pages(&ssd, lzah, &engine, &pages, 3, stale, None);
-        assert_eq!(fresh.physical.cache_hits, 0);
-        assert_eq!(fresh.physical.pages_read, cold.ledger.pages_read);
+        let (_, fresh) = solo(&ssd, engine(), &pages, 3, stale, None);
+        assert_eq!(fresh.cache_hits, 0);
+        assert_eq!(fresh.pages_read, cold.ledger.pages_read);
     }
 
     #[test]
@@ -1173,18 +916,16 @@ mod tests {
         let qb = mithrilog_query::parse("beta").unwrap();
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
-        let plan_a = pages[..8].to_vec();
-        let plan_b = pages[4..].to_vec();
         let lzah = LzahConfig::default();
         let queries = [
             FanQuery {
                 engine: Engine::Hardware(&pa),
-                pages: plan_a.clone(),
+                pages: &pages[..8],
                 cancel: None,
             },
             FanQuery {
                 engine: Engine::Hardware(&pb),
-                pages: plan_b.clone(),
+                pages: &pages[4..],
                 cancel: None,
             },
         ];
@@ -1216,23 +957,16 @@ mod tests {
         let (ssd, pages) = ssd_with_pages(&refs);
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 4] {
-            let out = scan_pages(
-                &ssd,
-                LzahConfig::default(),
-                &engine,
-                &pages,
-                threads,
-                None,
-                Some(&token),
-            );
+            let engine = Engine::Hardware(&pipeline);
+            let (out, device) = solo(&ssd, engine, &pages, threads, None, Some(token.clone()));
             assert!(out.lines.is_empty(), "{threads} threads");
             assert_eq!(out.pages_filtered, 0);
+            assert!(out.skipped_pages.is_empty());
             assert_eq!(out.ledger, CostLedger::default());
-            assert!(out.error.is_none());
+            assert_eq!(device, CostLedger::default(), "no read was issued");
         }
     }
 
@@ -1243,45 +977,24 @@ mod tests {
         let (mut ssd, pages) = ssd_with_pages(&refs);
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let lzah = LzahConfig::default();
 
         // Warm the cache with every page, then quarantine one of them.
         let cache = PageCache::new(1 << 20);
         let view: CacheView<'_> = Some((&cache, GenMap::Uniform(1)));
-        {
-            let engine = Engine::Hardware(&pipeline);
-            scan_pages(&ssd, lzah, &engine, &pages, 1, view, None);
-        }
+        solo(&ssd, Engine::Hardware(&pipeline), &pages, 1, view, None);
         let victim = pages[1];
         ssd.quarantine_page(victim.0);
 
-        // Cached and uncached runs agree: the quarantined page is skipped
-        // with zero charges in both, even though its text is still cached.
-        let engine = Engine::Hardware(&pipeline);
-        let cached = scan_pages(&ssd, lzah, &engine, &pages, 1, view, None);
-        let uncached = scan_pages(&ssd, lzah, &engine, &pages, 1, None, None);
-        assert_eq!(cached.skipped_pages, vec![victim.0]);
-        assert_eq!(cached.lines, uncached.lines);
-        assert_eq!(cached.skipped_pages, uncached.skipped_pages);
-        assert_eq!(cached.ledger, uncached.ledger, "as-if-solo must agree");
-        assert_eq!(uncached.ledger.pages_read, pages.len() as u64 - 1);
-
-        // Fan-out path agrees too.
-        let fan = scan_pages_fanout(
-            &ssd,
-            lzah,
-            &[FanQuery {
-                engine: Engine::Hardware(&pipeline),
-                pages: pages.clone(),
-                cancel: None,
-            }],
-            1,
-            view,
-        );
-        assert!(fan.error.is_none());
-        assert_eq!(fan.queries[0].lines, uncached.lines);
-        assert_eq!(fan.queries[0].skipped_pages, uncached.skipped_pages);
-        assert_eq!(fan.queries[0].ledger, uncached.ledger);
+        // Cached and uncached runs agree with the reference: the
+        // quarantined page is skipped with zero charges in both, even
+        // though its text is still cached.
+        let want = reference(&ssd, &query, &pages);
+        assert_eq!(want.skipped_pages, vec![victim.0]);
+        assert_eq!(want.ledger.pages_read, pages.len() as u64 - 1);
+        for cache in [view, None] {
+            let (got, _) = solo(&ssd, Engine::Hardware(&pipeline), &pages, 1, cache, None);
+            assert_matches(&got, &want, &format!("cache {}", cache.is_some()));
+        }
     }
 
     #[test]
@@ -1296,7 +1009,7 @@ mod tests {
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
         let lzah = LzahConfig::default();
-        let solo_a = scan_pages(&ssd, lzah, &Engine::Hardware(&pa), &pages, 3, None, None);
+        let solo_a = reference(&ssd, &qa, &pages);
 
         // Query B is cancelled before the wave starts; A shares every page.
         let cancelled = CancelToken::new();
@@ -1307,12 +1020,12 @@ mod tests {
             &[
                 FanQuery {
                     engine: Engine::Hardware(&pa),
-                    pages: pages.clone(),
+                    pages: &pages,
                     cancel: None,
                 },
                 FanQuery {
                     engine: Engine::Hardware(&pb),
-                    pages: pages.clone(),
+                    pages: &pages,
                     cancel: Some(cancelled),
                 },
             ],
@@ -1321,8 +1034,7 @@ mod tests {
         );
         assert!(fan.error.is_none());
         // The live query is byte-identical to its solo run.
-        assert_eq!(fan.queries[0].lines, solo_a.lines);
-        assert_eq!(fan.queries[0].ledger, solo_a.ledger);
+        assert_matches(&fan.queries[0], &solo_a, "live query");
         // The cancelled query scanned nothing and was charged nothing.
         assert!(fan.queries[1].lines.is_empty());
         assert_eq!(fan.queries[1].ledger, CostLedger::default());

@@ -197,11 +197,14 @@ struct BitmapRef {
     crc: u32,
 }
 
-/// One query's share of a wave plan (see `MithriLog::plan_wave`): the final
-/// page set (before the caller's window/budget/deadline clips), the
-/// as-if-solo probe ledger, and the per-segment pruning classification.
+/// One request's share of a wave plan (see `MithriLog::plan_wave`): the
+/// final page set after pruning and the window/budget/deadline clips, what
+/// the clips removed, the as-if-solo probe ledger, and the per-segment
+/// pruning classification (taken before the clips).
 struct PlannedQuery {
     pages: Vec<PageId>,
+    budget_clipped: u64,
+    deadline_clipped: u64,
     plan_ledger: mithrilog_storage::CostLedger,
     used_index: bool,
     index_fallback: bool,
@@ -1666,12 +1669,13 @@ impl<S: PageStore> MithriLog<S> {
         t1: u64,
         t2: u64,
     ) -> Result<QueryOutcome, MithriLogError> {
-        let (lo, hi) = self.index.time_slice(t1, t2);
-        self.query_inner(query, Some((lo, hi)))
+        self.query_one(QueryRequest::new(query.clone()).with_time_range(t1, t2))
     }
 
     /// Executes a query end to end: index plan → page stream →
-    /// decompress → token filter → matching lines.
+    /// decompress → token filter → matching lines. The query runs as a wave
+    /// of one through [`MithriLog::query_shared`], so its outcome is the
+    /// one it would get inside any wave.
     ///
     /// If the query cannot be compiled onto the hardware filter (too many
     /// sets/tokens or cuckoo placement failure), it transparently falls
@@ -1690,7 +1694,18 @@ impl<S: PageStore> MithriLog<S> {
     /// Propagates parse errors and non-survivable storage errors
     /// (out-of-range access, host I/O failure).
     pub fn query(&mut self, query: &Query) -> Result<QueryOutcome, MithriLogError> {
-        self.query_inner(query, None)
+        self.query_one(QueryRequest::new(query.clone()))
+    }
+
+    /// Runs one request as a wave of one: a solo query takes exactly the
+    /// path every wave takes.
+    fn query_one(&mut self, request: QueryRequest) -> Result<QueryOutcome, MithriLogError> {
+        let batch = self.query_shared(std::slice::from_ref(&request))?;
+        Ok(batch
+            .outcomes
+            .into_iter()
+            .next()
+            .expect("query_shared returns one outcome per request"))
     }
 
     /// Executes a batch of concurrently admitted queries as **one shared
@@ -1728,84 +1743,40 @@ impl<S: PageStore> MithriLog<S> {
         requests: &[QueryRequest],
     ) -> Result<SharedBatchOutcome, MithriLogError> {
         let wall_start = Instant::now();
-        struct Prepared {
-            pages: Vec<PageId>,
-            plan_ledger: mithrilog_storage::CostLedger,
-            used_index: bool,
-            index_fallback: bool,
-            budget_clipped: u64,
-            deadline_clipped: u64,
-            pruned_by_index: u64,
-            pruned_by_bitmap: u64,
-            pruned_by_both: u64,
-        }
-        let queries: Vec<&Query> = requests.iter().map(|r| &r.query).collect();
-        let wave = self.plan_wave(&queries)?;
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(requests.len());
-        let mut pipelines: Vec<Option<FilterPipeline>> = Vec::with_capacity(requests.len());
-        for (req, planned) in requests.iter().zip(wave.queries) {
-            let window = req.time_range.map(|(t1, t2)| self.index.time_slice(t1, t2));
-            let pruned_by_index = planned.pruned_by_index();
-            let pruned_by_bitmap = planned.pruned_by_bitmap();
-            let pruned_by_both = planned.pruned_by_both();
-            let mut pages = planned.pages;
-            if let Some((lo, hi)) = window {
-                pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-            }
-            let (budget_clipped, deadline_clipped) =
-                self.clip_plan(&mut pages, req.page_budget, req.deadline);
-            pipelines.push(
+        let wave = self.plan_wave(requests)?;
+        let pipelines: Vec<Option<FilterPipeline>> = requests
+            .iter()
+            .map(|req| {
                 FilterPipeline::compile_with(
                     &req.query,
                     self.config.filter,
                     self.config.tokenizer.clone(),
                 )
-                .ok(),
-            );
-            prepared.push(Prepared {
-                pages,
-                plan_ledger: planned.plan_ledger,
-                used_index: planned.used_index,
-                index_fallback: planned.index_fallback,
-                budget_clipped,
-                deadline_clipped,
-                pruned_by_index,
-                pruned_by_bitmap,
-                pruned_by_both,
-            });
-        }
-
-        // Share counts over the post-clip plans drive the attribution split.
-        let mut share: std::collections::HashMap<PageId, u64> = std::collections::HashMap::new();
-        for prep in &prepared {
-            for page in &prep.pages {
-                *share.entry(*page).or_default() += 1;
-            }
-        }
-
-        let engines: Vec<exec::FanQuery<'_>> = requests
+                .ok()
+            })
+            .collect();
+        let fan_queries: Vec<exec::FanQuery<'_>> = requests
             .iter()
             .zip(&pipelines)
-            .zip(&prepared)
-            .map(|((req, pipeline), prep)| {
-                let engine = match pipeline {
+            .zip(&wave.queries)
+            .map(|((req, pipeline), planned)| exec::FanQuery {
+                engine: match pipeline {
                     Some(p) => Engine::Hardware(p),
                     None => Engine::Software(&req.query),
-                };
-                exec::FanQuery {
-                    engine,
-                    pages: prep.pages.clone(),
-                    cancel: req.cancel.clone(),
-                }
+                },
+                pages: &planned.pages,
+                cancel: req.cancel.clone(),
             })
             .collect();
         let fan = exec::scan_pages_fanout(
             &self.ssd,
             self.config.lzah,
-            &engines,
+            &fan_queries,
             self.config.resolved_query_threads(),
             self.cache_view(),
         );
+        // The device records only physical work (plus the sharing and
+        // cache-hit savings); each query is charged as if solo below.
         self.ssd.merge_ledger(&fan.device_ledger);
         if let Some(e) = fan.error {
             return Err(e.into());
@@ -1813,51 +1784,49 @@ impl<S: PageStore> MithriLog<S> {
 
         let wall_time = wall_start.elapsed();
         let mut report = SharedScanReport {
-            demanded_page_reads: prepared.iter().map(|p| p.pages.len() as u64).sum(),
-            unique_pages_read: share.len() as u64,
+            demanded_page_reads: wave.queries.iter().map(|p| p.pages.len() as u64).sum(),
+            unique_pages_read: fan.union_pages,
             shared_reads_avoided: fan.device_ledger.shared_reads,
             cache_hits: fan.device_ledger.cache_hits,
             cache_bytes_saved: fan.device_ledger.cache_bytes_saved,
-            pages_pruned_by_index: prepared.iter().map(|p| p.pruned_by_index).sum(),
-            pages_pruned_by_bitmap: prepared.iter().map(|p| p.pruned_by_bitmap).sum(),
-            pages_pruned_by_both: prepared.iter().map(|p| p.pruned_by_both).sum(),
+            pages_pruned_by_index: wave.queries.iter().map(PlannedQuery::pruned_by_index).sum(),
+            pages_pruned_by_bitmap: wave
+                .queries
+                .iter()
+                .map(PlannedQuery::pruned_by_bitmap)
+                .sum(),
+            pages_pruned_by_both: wave.queries.iter().map(PlannedQuery::pruned_by_both).sum(),
             probe_node_visits_demanded: wave.probe_report.node_visits_demanded,
             probe_node_visits_physical: wave.probe_report.node_visits_physical,
             attribution: Vec::with_capacity(requests.len()),
         };
         let mut outcomes = Vec::with_capacity(requests.len());
-        for ((prep, scan), pipeline) in prepared.iter().zip(fan.queries).zip(&pipelines) {
-            let mut attr = ScanAttribution {
-                planned_pages: prep.pages.len() as u64,
-                pruned_by_index: prep.pruned_by_index,
-                pruned_by_bitmap: prep.pruned_by_bitmap,
-                pruned_by_both: prep.pruned_by_both,
-                ..ScanAttribution::default()
-            };
-            for page in &prep.pages {
-                let sharers = share[page];
-                if sharers <= 1 {
-                    attr.exclusive_pages += 1;
-                    attr.attributed_page_cost += 1.0;
-                } else {
-                    attr.shared_pages += 1;
-                    attr.attributed_page_cost += 1.0 / sharers as f64;
-                }
-            }
-            report.attribution.push(attr);
+        for ((planned, scan), pipeline) in wave.queries.into_iter().zip(fan.queries).zip(&pipelines)
+        {
+            report.attribution.push(ScanAttribution {
+                pruned_by_index: planned.pruned_by_index(),
+                pruned_by_bitmap: planned.pruned_by_bitmap(),
+                pruned_by_both: planned.pruned_by_both(),
+                ..scan.share
+            });
 
-            let mut ledger = prep.plan_ledger;
+            let mut ledger = planned.plan_ledger;
             ledger.merge(&scan.ledger);
             let mut degraded = DegradedRead {
                 skipped_pages: scan.skipped_pages,
                 retries: ledger.retries,
                 estimated_missed_lines: 0,
-                index_fallback: prep.index_fallback,
-                budget_clipped: prep.budget_clipped,
-                deadline_clipped: prep.deadline_clipped,
+                index_fallback: planned.index_fallback,
+                budget_clipped: planned.budget_clipped,
+                deadline_clipped: planned.deadline_clipped,
             };
-            let lost =
-                degraded.skipped_pages.len() as u64 + prep.budget_clipped + prep.deadline_clipped;
+            // Estimate what the lost pages cost from *this query's*
+            // observed line density when at least one page was scanned; the
+            // global average (which counts pages from other epochs) is only
+            // a fallback for the every-planned-page-lost case.
+            let lost = degraded.skipped_pages.len() as u64
+                + planned.budget_clipped
+                + planned.deadline_clipped;
             degraded.estimated_missed_lines = if lost == 0 {
                 0
             } else if scan.pages_filtered > 0 {
@@ -1870,8 +1839,8 @@ impl<S: PageStore> MithriLog<S> {
                 lines: scan.lines,
                 line_pages: scan.line_pages,
                 offloaded: pipeline.is_some(),
-                used_index: prep.used_index,
-                pages_scanned: prep.pages.len() as u64,
+                used_index: planned.used_index,
+                pages_scanned: planned.pages.len() as u64,
                 bytes_filtered: scan.bytes_filtered,
                 lines_scanned: scan.lines_scanned,
                 ledger,
@@ -1886,102 +1855,8 @@ impl<S: PageStore> MithriLog<S> {
         })
     }
 
-    fn query_inner(
-        &mut self,
-        query: &Query,
-        window: Option<(Option<PageId>, Option<PageId>)>,
-    ) -> Result<QueryOutcome, MithriLogError> {
-        let wall_start = Instant::now();
-        let mut degraded = DegradedRead::default();
-
-        // The solo path is a batch of one through the shared wave planner:
-        // one code path decides index use, replays the as-if-solo probe
-        // ledger, and applies the segment-bitmap pruning, so a query run
-        // alone and the same query run inside a wave plan identically.
-        let wave = self.plan_wave(std::slice::from_ref(&query))?;
-        let planned = wave
-            .queries
-            .into_iter()
-            .next()
-            .expect("plan_wave returns one plan per query");
-        degraded.index_fallback = planned.index_fallback;
-        let used_index = planned.used_index;
-        let mut pages = planned.pages;
-        if let Some((lo, hi)) = window {
-            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-        }
-
-        let pipeline =
-            FilterPipeline::compile_with(query, self.config.filter, self.config.tokenizer.clone());
-        let offloaded = pipeline.is_ok();
-        let engine = match &pipeline {
-            Ok(p) => Engine::Hardware(p),
-            Err(_) => Engine::Software(query),
-        };
-
-        // Planning charges: the as-if-solo probe replay ledger from the
-        // wave planner (physical walk charges already sit on the device
-        // ledger).
-        let plan_ledger = planned.plan_ledger;
-
-        // The parallel datapath: pages striped across the worker pool, each
-        // worker running its own read → decompress → filter pipeline with a
-        // private cost ledger, merged back order-preserving (see `exec`).
-        let data_pages_scanned = pages.len() as u64;
-        let scan = exec::scan_pages(
-            &self.ssd,
-            self.config.lzah,
-            &engine,
-            &pages,
-            self.config.resolved_query_threads(),
-            self.cache_view(),
-            None,
-        );
-        // The device records only physical work (plus the cache-hit
-        // counters); the query is charged as if solo below.
-        self.ssd.merge_ledger(&scan.physical);
-        if let Some(e) = scan.error {
-            return Err(e.into());
-        }
-        let lines = scan.lines;
-        let line_pages = scan.line_pages;
-        let bytes_filtered = scan.bytes_filtered;
-        let lines_scanned = scan.lines_scanned;
-        degraded.skipped_pages = scan.skipped_pages;
-
-        let mut ledger = plan_ledger;
-        ledger.merge(&scan.ledger);
-        degraded.retries = ledger.retries;
-        // Estimate what the skipped pages cost from *this query's* observed
-        // line density when at least one page was scanned; the global
-        // average (which counts pages from other epochs) is only a fallback
-        // for the every-planned-page-skipped case.
-        let skipped = degraded.skipped_pages.len() as u64;
-        degraded.estimated_missed_lines = if skipped == 0 {
-            0
-        } else if scan.pages_filtered > 0 {
-            lines_scanned.div_ceil(scan.pages_filtered) * skipped
-        } else {
-            self.avg_lines_per_page() * skipped
-        };
-        let modeled_time = self.model_query_time(&ledger, bytes_filtered, &lines);
-        Ok(QueryOutcome {
-            lines,
-            line_pages,
-            offloaded,
-            used_index,
-            pages_scanned: data_pages_scanned,
-            bytes_filtered,
-            lines_scanned,
-            ledger,
-            modeled_time,
-            wall_time: wall_start.elapsed(),
-            degraded,
-        })
-    }
-
-    /// Plans a wave of queries through one batched index probe plus the
-    /// per-segment pruning bitmaps.
+    /// Plans a wave of requests through one batched index probe plus the
+    /// per-segment pruning bitmaps, then applies each request's own clips.
     ///
     /// * Every query that wants the index (per
     ///   [`MithriLog::index_probe_is_worthwhile`]) joins a single
@@ -1998,22 +1873,24 @@ impl<S: PageStore> MithriLog<S> {
     ///   both. Bitmap pruning never skips a page that could hold a matching
     ///   line (see `crate::bitmaps`), so outcomes stay byte-identical; the
     ///   open segment and segments without bitmaps are never pruned.
+    /// * Each request's time window, page budget and deadline then shorten
+    ///   its plan ([`MithriLog::clip_plan`]). This is the only place the
+    ///   clips run, so [`MithriLog::explain`] and execution always agree.
     ///
     /// # Errors
     ///
     /// Propagates non-survivable probe errors; survivable (skippable) ones
-    /// degrade the affected query to a full scan exactly like the solo
-    /// path.
-    fn plan_wave(&mut self, queries: &[&Query]) -> Result<WavePlan, MithriLogError> {
-        let wants_probe: Vec<bool> = queries
+    /// degrade the affected query to a full scan.
+    fn plan_wave(&mut self, requests: &[QueryRequest]) -> Result<WavePlan, MithriLogError> {
+        let wants_probe: Vec<bool> = requests
             .iter()
-            .map(|q| self.config.use_index && self.index_probe_is_worthwhile(q))
+            .map(|r| self.config.use_index && self.index_probe_is_worthwhile(&r.query))
             .collect();
-        let probing: Vec<&Query> = queries
+        let probing: Vec<&Query> = requests
             .iter()
             .zip(&wants_probe)
             .filter(|(_, w)| **w)
-            .map(|(q, _)| *q)
+            .map(|(r, _)| &r.query)
             .collect();
         let (probed, probe_report) = if probing.is_empty() {
             (Vec::new(), mithrilog_index::BatchProbeReport::default())
@@ -2033,8 +1910,9 @@ impl<S: PageStore> MithriLog<S> {
         }
         let bitmaps_on = self.config.use_index && self.config.bitmap_buckets > 0;
         let mut probed_iter = probed.into_iter();
-        let mut planned = Vec::with_capacity(queries.len());
-        for (query, wants) in queries.iter().zip(&wants_probe) {
+        let mut planned = Vec::with_capacity(requests.len());
+        for (req, wants) in requests.iter().zip(&wants_probe) {
+            let query = &req.query;
             let mut plan_ledger = mithrilog_storage::CostLedger::default();
             let mut index_fallback = false;
             let plan = if *wants {
@@ -2122,8 +2000,11 @@ impl<S: PageStore> MithriLog<S> {
             if !dead.is_empty() {
                 pages.retain(|p| !dead.contains(&p.0));
             }
+            let (budget_clipped, deadline_clipped) = self.clip_plan(&mut pages, req);
             planned.push(PlannedQuery {
                 pages,
+                budget_clipped,
+                deadline_clipped,
                 plan_ledger,
                 used_index,
                 index_fallback,
@@ -2136,21 +2017,20 @@ impl<S: PageStore> MithriLog<S> {
         })
     }
 
-    /// Applies the deadline clips to a planned page list — the page budget
-    /// first, then the modeled-time deadline — returning
-    /// `(budget_clipped, deadline_clipped)`. The deadline clip runs after
-    /// the budget clip: the deadline is converted into a page allowance
+    /// Applies a request's clips to its pruned page plan — the
+    /// snapshot-clock time window, then the page budget, then the
+    /// modeled-time deadline — returning `(budget_clipped,
+    /// deadline_clipped)`. The deadline is converted into a page allowance
     /// with the device performance model, so the clip depends only on the
     /// request and the model — the same request replays byte-identically
     /// anywhere.
-    fn clip_plan(
-        &self,
-        pages: &mut Vec<PageId>,
-        page_budget: Option<u64>,
-        deadline: Option<Duration>,
-    ) -> (u64, u64) {
+    fn clip_plan(&self, pages: &mut Vec<PageId>, req: &QueryRequest) -> (u64, u64) {
+        if let Some((t1, t2)) = req.time_range {
+            let (lo, hi) = self.index.time_slice(t1, t2);
+            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
+        }
         let mut budget_clipped = 0u64;
-        if let Some(budget) = page_budget {
+        if let Some(budget) = req.page_budget {
             let keep = usize::try_from(budget)
                 .unwrap_or(usize::MAX)
                 .min(pages.len());
@@ -2158,7 +2038,7 @@ impl<S: PageStore> MithriLog<S> {
             pages.truncate(keep);
         }
         let mut deadline_clipped = 0u64;
-        if let Some(deadline) = deadline {
+        if let Some(deadline) = req.deadline {
             let keep = usize::try_from(self.deadline_page_allowance(deadline))
                 .unwrap_or(usize::MAX)
                 .min(pages.len());
@@ -2184,26 +2064,19 @@ impl<S: PageStore> MithriLog<S> {
     /// Propagates non-survivable storage errors from the probe, exactly
     /// like [`MithriLog::query`].
     pub fn explain(&mut self, req: &QueryRequest) -> Result<PlanExplain, MithriLogError> {
-        let wave = self.plan_wave(std::slice::from_ref(&&req.query))?;
-        let planned = wave
+        let planned = self
+            .plan_wave(std::slice::from_ref(req))?
             .queries
             .into_iter()
             .next()
-            .expect("plan_wave returns one plan per query");
-        let window = req.time_range.map(|(t1, t2)| self.index.time_slice(t1, t2));
-        let mut pages = planned.pages;
-        if let Some((lo, hi)) = window {
-            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-        }
-        let (budget_clipped, deadline_clipped) =
-            self.clip_plan(&mut pages, req.page_budget, req.deadline);
+            .expect("plan_wave returns one plan per request");
         Ok(PlanExplain {
             used_index: planned.used_index,
             index_fallback: planned.index_fallback,
             live_pages: self.data_pages.len() as u64,
-            planned_pages: pages.len() as u64,
-            budget_clipped,
-            deadline_clipped,
+            planned_pages: planned.pages.len() as u64,
+            budget_clipped: planned.budget_clipped,
+            deadline_clipped: planned.deadline_clipped,
             segments: planned.segments,
         })
     }
@@ -2627,6 +2500,53 @@ RAS KERNEL INFO generating core.2275\n";
         assert_eq!(o.pages_scanned, 2);
         assert_eq!(o.degraded.budget_clipped, pages - 4);
         assert_eq!(o.degraded.deadline_clipped, 2);
+    }
+
+    #[test]
+    fn explain_agrees_with_execution_under_every_clip() {
+        // Two snapshot epochs, so time windows clip the plan as well.
+        let mut s = MithriLog::new(SystemConfig::for_tests());
+        s.ingest(LOG.repeat(900).as_bytes()).unwrap();
+        s.snapshot_at(100).unwrap();
+        s.ingest(LOG.repeat(900).as_bytes()).unwrap();
+        s.snapshot_at(200).unwrap();
+        let pages = s.data_page_count();
+        assert!(pages > 8, "need several pages per epoch ({pages})");
+        let per_page = s.config().device.parallel_read_time(1, Link::Internal);
+        let req = || QueryRequest::parse("RAS").unwrap();
+        let requests = [
+            req(),
+            req().with_time_range(0, 100),
+            req().with_page_budget(3),
+            req().with_deadline(per_page * 2),
+            req()
+                .with_time_range(101, 250)
+                .with_page_budget(3)
+                .with_deadline(per_page * 2),
+            req()
+                .with_time_range(0, 100)
+                .with_page_budget(1)
+                .with_deadline(per_page * 4),
+            req().with_page_budget(2).with_deadline(Duration::ZERO),
+        ];
+        let plans: Vec<PlanExplain> = requests.iter().map(|r| s.explain(r).unwrap()).collect();
+        // The window, the budget and the deadline each bind somewhere.
+        assert!(plans[1].planned_pages < pages);
+        assert!(plans[4].budget_clipped > 0 && plans[4].deadline_clipped > 0);
+        assert_eq!(plans[5].deadline_clipped, 0, "the budget already bound");
+        // Execution, solo and as one wave, realizes exactly the plan.
+        let wave = s.query_shared(&requests).unwrap();
+        for ((req, plan), in_wave) in requests.iter().zip(&plans).zip(&wave.outcomes) {
+            let solo = s.query_shared(std::slice::from_ref(req)).unwrap();
+            for out in [&solo.outcomes[0], in_wave] {
+                assert_eq!(out.pages_scanned, plan.planned_pages, "{req:?}");
+                assert_eq!(out.degraded.budget_clipped, plan.budget_clipped, "{req:?}");
+                assert_eq!(
+                    out.degraded.deadline_clipped, plan.deadline_clipped,
+                    "{req:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,15 @@ cargo test --test service_faults -q
 echo "==> chaos soak (bounded smoke: submit/cancel/ingest storm under each fault mode)"
 cargo test --test chaos_soak -q
 
+echo "==> flake detector (CLI tests + chaos soak, 5 rounds at 1 and 8 test threads)"
+for round in 1 2 3 4 5; do
+  for threads in 1 8; do
+    echo "    round $round, --test-threads $threads"
+    cargo test -p mithrilog-cli -q -- --test-threads "$threads"
+    cargo test --test chaos_soak -q -- --test-threads "$threads"
+  done
+done
+
 echo "==> service_load --storm (bench-scale fault storm smoke)"
 cargo run --release -p mithrilog-bench --quiet --bin service_load -- --storm --smoke
 

@@ -20,7 +20,7 @@
 //! up under load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mithrilog::{MithriLog, SystemConfig};
@@ -128,15 +128,22 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
     // interleaved. Ids are collected with their query index for the
     // byte-identity check. A monitor thread samples `STATS` throughout:
     // every cumulative counter must be monotonic under concurrency — a
-    // decrease means a lost update or a torn read under the storm.
+    // decrease means a lost update or a torn read under the storm. A start
+    // barrier holds the workers until the monitor has taken its first
+    // sample, and the monitor samples once more after the storm is over,
+    // so every soak observes the counters on both sides of the storm.
+    const WORKERS: usize = 3;
     let storm_over = AtomicBool::new(false);
+    let start = Barrier::new(WORKERS + 1);
     let submitted: Vec<Vec<(u64, Option<usize>)>> = std::thread::scope(|scope| {
         let monitor = {
             let handle = Arc::clone(&handle);
             let storm_over = &storm_over;
+            let start = &start;
             scope.spawn(move || {
-                let mut prev = ServiceStats::default();
-                let mut samples = 0u64;
+                let mut prev = handle.stats();
+                let mut samples = 1u64;
+                start.wait();
                 loop {
                     let done = storm_over.load(Ordering::Acquire);
                     let stats = handle.stats();
@@ -150,10 +157,12 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
                 }
             })
         };
-        let workers: Vec<_> = (0..3)
+        let workers: Vec<_> = (0..WORKERS)
             .map(|c| {
                 let handle = Arc::clone(&handle);
+                let start = &start;
                 scope.spawn(move || {
+                    start.wait();
                     let mut ids = Vec::new();
                     for i in 0..24 {
                         if i % 8 == 5 {
